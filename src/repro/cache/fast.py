@@ -70,7 +70,7 @@ class FastLRU:
         evicted = []
         used = self.used
         capacity = self.capacity
-        while used + size > capacity:
+        while used + size > capacity and order:  # see LRUCache.insert
             victim = next(iter(order))
             del order[victim]
             member[victim] = 0
@@ -116,7 +116,7 @@ class FastFIFO:
         evicted = []
         used = self.used
         capacity = self.capacity
-        while used + size > capacity:
+        while used + size > capacity and order:  # see LRUCache.insert
             victim = next(iter(order))
             del order[victim]
             member[victim] = 0
@@ -199,7 +199,7 @@ class FastLFU:
         if size > self.capacity:
             return []
         evicted = []
-        while self.used + size > self.capacity:
+        while self.used + size > self.capacity and self.buckets:
             evicted.append(self._evict_one())
         self.freq[obj] = 1
         bucket = self.buckets.get(1)

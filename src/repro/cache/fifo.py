@@ -39,7 +39,9 @@ class FIFOCache(Cache):
         if size > self.capacity:
             return []
         evicted = []
-        while self._used + size > self.capacity:
+        # ``and self._entries``: float drift can leave an emptied cache a
+        # hair over capacity; an object that fits alone is then admitted.
+        while self._used + size > self.capacity and self._entries:
             victim, victim_size = self._entries.popitem(last=False)
             self._used -= victim_size
             evicted.append(victim)

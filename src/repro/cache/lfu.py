@@ -41,7 +41,9 @@ class LFUCache(Cache):
         if size > self.capacity:
             return []
         evicted = []
-        while self._used + size > self.capacity:
+        # ``and self._size``: float drift can leave an emptied cache a
+        # hair over capacity; an object that fits alone is then admitted.
+        while self._used + size > self.capacity and self._size:
             evicted.append(self._evict_one())
         self._size[obj] = size
         self._freq[obj] = 1

@@ -32,6 +32,7 @@ from .architectures import Architecture
 from .capacity import CapacityModel, CapacityTracker
 from .metrics import MetricsCollector, SimulationResult
 from .routing import ReplicaDirectory
+from .seeds import INSERT_SEED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.sink import Observer
@@ -41,13 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: :mod:`repro.core.fastpath`, which produces field-for-field identical
 #: :class:`SimulationResult` objects (pinned by the differential suite).
 ENGINES = ("reference", "fast")
-
-#: Pinned seed for the probabilistic-insertion coin flips.  Deliberately
-#: a fixed algorithmic constant, independent of the experiment seed: the
-#: insertion stream must be identical across engines and runs for the
-#: differential suite's field-for-field equality.  ``core/fastpath.py``
-#: pins the same value.
-_INSERT_SEED = 0xC0FFEE
 
 
 def _stream_bounds(
@@ -221,7 +215,7 @@ class Simulator:
         insert = self._insert
         insertion = self.architecture.insertion
         insert_probability = self.architecture.insertion_probability
-        insert_rng = np.random.default_rng(_INSERT_SEED)
+        insert_rng = np.random.default_rng(INSERT_SEED)
 
         failed = self._failed
         observer = self.observer

@@ -4,13 +4,19 @@ The observability contract (see ``repro.obs``) is *zero overhead when
 disabled*: with no :class:`~repro.obs.sink.Observer` attached, both
 engines must execute exactly the code they executed before the
 subsystem existed, so the differential matrix keeps certifying
-bit-identical results.  The hot request loops therefore gate every
-counter update and trace emission behind a cheap local check::
+bit-identical results.  Every counter update and trace emission inside
+a loop is therefore gated behind a cheap check — per request in the
+decide loops, or once around a whole loop that only runs for an
+attached sink (the fast engine emits serves and trace records from
+each block's serving column after its decide loop)::
 
-    if observing:                 # fast engine: one pre-bound bool
-        rec_serves[serving] += 1
+    if observing:                 # fast decide loop: one pre-bound bool
+        rec_copies[node] += 1
     if rec is not None:           # reference engine: one is-check
         rec.serves[serving] += 1
+    if tracer is not None:        # fast accounting: once per block
+        for k in sampled:
+            tracer.emit_request(...)
 
 ``O501`` pins that pattern statically.  Inside any ``for``/``while``
 body of ``core/engine.py`` or ``core/fastpath.py``, a call or an
@@ -18,9 +24,11 @@ augmented assignment that touches a *sink-named* value — a name
 matching ``obs | observer | observing | rec | recorder | trace |
 tracer | sink``, bare or with a ``_suffix`` (``rec_serves``,
 ``trace_emit``) — must have an ancestor ``if`` whose test mentions a
-sink name.  The test itself is exempt (``if trace_wants(i):`` *is* the
-gate), as is any statement outside a loop, where a single ungated
-touch costs one branch per run rather than one per request.
+sink name, inside the loop or around it.  The test itself is exempt
+(``if trace_wants(i):`` *is* the gate), as is any statement outside a
+loop, where a single ungated touch costs one branch per run rather
+than one per request.  A nested ``def`` is checked on its own: a guard
+around its definition does not cover its body.
 
 ``O502`` extends the same contract to the sweep-scale sinks: inside the
 hot loops of ``core/sweep.py`` and ``idicn/simnet.py``, touches of
@@ -102,26 +110,8 @@ def _check_gating(
 ) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for path, tree in hot_modules:
-        loops = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.For, ast.While))
-        ]
-        # Seed only from outermost loops: nested loops are reached by
-        # ``_scan`` itself with the guard state of their surroundings
-        # (an outer ``if observing:`` covers an inner eviction while).
-        nested: set[int] = set()
-        for loop in loops:
-            for child in ast.walk(loop):
-                if child is not loop and isinstance(
-                    child, (ast.For, ast.While)
-                ):
-                    nested.add(id(child))
-        for loop in loops:
-            if id(loop) in nested:
-                continue
-            for stmt in loop.body + loop.orelse:
-                _scan(path, stmt, False, out, matcher, rule, message)
+        for stmt in tree.body:
+            _scan(path, stmt, False, False, out, matcher, rule, message)
     return out
 
 
@@ -129,86 +119,85 @@ def _scan(
     path: str,
     stmt: ast.stmt,
     guarded: bool,
+    in_loop: bool,
     out: list[Diagnostic],
     matcher: re.Pattern[str],
     rule: Rule,
     message: str,
 ) -> None:
-    """Flag ungated sink touches in one statement of a hot-loop body.
+    """Flag ungated sink touches in one statement.
 
     ``guarded`` is carried down once an ancestor ``if`` tested a sink
-    name; nested loops restart from the current guard state (an outer
-    ``if observing:`` covers an inner eviction ``while`` too).
+    name — inside the loop or around it: a loop that only runs when a
+    sink is attached (``if tracer is not None: for ...``) costs nothing
+    when observability is off.  ``in_loop`` is set inside any
+    ``for``/``while`` body; only there is a touch flagged.  A nested
+    ``def``/``class`` starts afresh: its body executes elsewhere.
     """
+    def scan_all(children: list[ast.stmt], guard: bool, loop: bool) -> None:
+        for child in children:
+            _scan(path, child, guard, loop, out, matcher, rule, message)
+
+    check = in_loop and not guarded
     if isinstance(stmt, ast.If):
         if _mentions_sink(stmt.test, matcher):
             # This *is* the gate: the test's own sink reads are the one
             # permitted per-iteration cost; everything below is covered.
-            for child in stmt.body + stmt.orelse:
-                _scan(path, child, True, out, matcher, rule, message)
+            scan_all(stmt.body + stmt.orelse, True, in_loop)
             return
-        _flag_expr(path, stmt.test, guarded, out, matcher, rule, message)
-        for child in stmt.body + stmt.orelse:
-            _scan(path, child, guarded, out, matcher, rule, message)
+        if check:
+            _flag_expr(path, stmt.test, out, matcher, rule, message)
+        scan_all(stmt.body + stmt.orelse, guarded, in_loop)
         return
     if isinstance(stmt, (ast.For, ast.While)):
-        _flag_expr(
-            path,
-            stmt.iter if isinstance(stmt, ast.For) else stmt.test,
-            guarded,
-            out,
-            matcher,
-            rule,
-            message,
-        )
-        for child in stmt.body + stmt.orelse:
-            _scan(path, child, guarded, out, matcher, rule, message)
-        return
-    if isinstance(stmt, (ast.With,)):
-        for item in stmt.items:
+        if check:
             _flag_expr(
-                path, item.context_expr, guarded, out, matcher, rule, message
+                path,
+                stmt.iter if isinstance(stmt, ast.For) else stmt.test,
+                out,
+                matcher,
+                rule,
+                message,
             )
-        for child in stmt.body:
-            _scan(path, child, guarded, out, matcher, rule, message)
+        scan_all(stmt.body + stmt.orelse, guarded, True)
+        return
+    if isinstance(stmt, ast.With):
+        if check:
+            for item in stmt.items:
+                _flag_expr(path, item.context_expr, out, matcher, rule, message)
+        scan_all(stmt.body, guarded, in_loop)
         return
     if isinstance(stmt, ast.Try):
-        for child in stmt.body + stmt.orelse + stmt.finalbody:
-            _scan(path, child, guarded, out, matcher, rule, message)
+        scan_all(stmt.body + stmt.orelse + stmt.finalbody, guarded, in_loop)
         for handler in stmt.handlers:
-            for child in handler.body:
-                _scan(path, child, guarded, out, matcher, rule, message)
+            scan_all(handler.body, guarded, in_loop)
         return
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        # A def/class inside a hot loop is its own (pathological) cost;
-        # its body executes elsewhere, so it is out of scope here.
+        scan_all(stmt.body, False, False)
+        return
+    if not check:
         return
     # Leaf statements: expression statements, assignments, etc.
     for node in ast.walk(stmt):
         if isinstance(node, ast.AugAssign) and _mentions_sink(
             node.target, matcher
         ):
-            if not guarded:
-                out.append(_diagnostic(path, node, rule, message))
+            out.append(_diagnostic(path, node, rule, message))
         elif isinstance(node, ast.Call) and _mentions_sink(
             node.func, matcher
         ):
-            if not guarded:
-                out.append(_diagnostic(path, node, rule, message))
+            out.append(_diagnostic(path, node, rule, message))
 
 
 def _flag_expr(
     path: str,
     expr: ast.expr,
-    guarded: bool,
     out: list[Diagnostic],
     matcher: re.Pattern[str],
     rule: Rule,
     message: str,
 ) -> None:
-    """Flag ungated sink *calls* inside a non-gate expression."""
-    if guarded:
-        return
+    """Flag sink *calls* inside a non-gate expression."""
     for node in ast.walk(expr):
         if isinstance(node, ast.Call) and _mentions_sink(node.func, matcher):
             out.append(_diagnostic(path, node, rule, message))

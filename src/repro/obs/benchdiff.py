@@ -14,6 +14,9 @@ Direction is metric-aware:
 
 Reports taken at different ``scale`` values measure different work, so
 comparing them is an error (exit status 2) unless explicitly allowed.
+Scale is checked per section: a section may record its own ``scale``
+(a stream replay merged into a report of another scale does), and any
+section without one inherits its parent's.
 Tiny wall-clock phases are dominated by scheduler noise; phases below
 ``--min-seconds`` in *both* reports are reported but never gated on.
 """
@@ -128,6 +131,37 @@ def _lookup(report: Mapping[str, object], path: str) -> object:
     return node
 
 
+def scale_mismatches(
+    baseline: Mapping[str, object], current: Mapping[str, object]
+) -> list[tuple[str, object, object]]:
+    """``(section, baseline scale, current scale)`` for every mismatch.
+
+    Walks the sections both reports share.  A section's scale is its own
+    ``scale`` key, else its parent's; a mismatch is reported where it
+    arises (the top level, or a section that records its own scale),
+    not again in every section below it.
+    """
+    found: list[tuple[str, object, object]] = []
+
+    def walk(base: Mapping[str, object], curr: Mapping[str, object],
+             path: str, base_scale: object, curr_scale: object) -> None:
+        own = "scale" in base or "scale" in curr or not path
+        base_scale = base.get("scale", base_scale)
+        curr_scale = curr.get("scale", curr_scale)
+        if own and base_scale != curr_scale:
+            found.append((path or "(top level)", base_scale, curr_scale))
+        for key in sorted(set(base) & set(curr)):
+            base_child, curr_child = base[key], curr[key]
+            if isinstance(base_child, Mapping) and isinstance(
+                curr_child, Mapping
+            ):
+                walk(base_child, curr_child,
+                     f"{path}/{key}" if path else key, base_scale, curr_scale)
+
+    walk(baseline, current, "", None, None)
+    return found
+
+
 def load_report(path: str | Path) -> dict[str, object]:
     """Load one bench report, insisting it is a JSON object."""
     with open(path, encoding="utf-8") as fh:
@@ -170,14 +204,14 @@ def run_bench_diff(
     """The ``bench-diff`` CLI body; returns the process exit status."""
     baseline = load_report(baseline_path)
     current = load_report(current_path)
-    base_scale = baseline.get("scale")
-    curr_scale = current.get("scale")
-    if base_scale != curr_scale and not allow_scale_mismatch:
-        out(
-            f"bench-diff: scale mismatch (baseline {base_scale!r}, "
-            f"current {curr_scale!r}); rerun at the baseline scale or "
-            "pass --allow-scale-mismatch"
-        )
+    mismatches = scale_mismatches(baseline, current)
+    if mismatches and not allow_scale_mismatch:
+        for section, base_scale, curr_scale in mismatches:
+            out(
+                f"bench-diff: scale mismatch in {section} (baseline "
+                f"{base_scale!r}, current {curr_scale!r}); rerun at the "
+                "baseline scale or pass --allow-scale-mismatch"
+            )
         return 2
     deltas = diff_reports(baseline, current, min_seconds=min_seconds)
     if not deltas:

@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_diff.add_argument(
         "--allow-scale-mismatch", action="store_true",
-        help="compare reports recorded at different scales",
+        help="compare reports (or sections) recorded at different scales",
     )
     bench_diff.set_defaults(func=_cmd_bench_diff)
     return parser

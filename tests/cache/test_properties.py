@@ -93,3 +93,29 @@ def test_make_cache_dispatch(policy_name):
     cache = make_cache(policy_name, 3)
     cache.insert("x")
     assert "x" in cache
+
+
+def test_drifted_empty_cache_admits_a_fitting_object():
+    """Float drift must not make an emptied cache refuse to admit.
+
+    0.1 + 0.3 - 0.1 - 0.3 leaves ``used`` at 5.6e-17, not 0, so a
+    0.6-sized object still "overflows" a 0.6 cache after every other
+    object is gone; insert must stop evicting at empty and admit it
+    (it used to evict from an empty cache and raise), in the reference
+    policies and the fast engine's structs alike.
+    """
+    from repro.cache.fast import make_fast_cache
+
+    sizes = [0.1, 0.3, 0.6]
+    for policy in POLICIES:
+        cache = policy(0.6)
+        assert cache.insert(0, 0.1) == []
+        assert cache.insert(1, 0.3) == []
+        assert cache.insert(2, 0.6) == [0, 1]
+        assert list(cache) == [2]
+    for name in ("lru", "lfu", "fifo"):
+        struct = make_fast_cache(name, 0.6, len(sizes), sizes)
+        assert struct.insert(0) == []
+        assert struct.insert(1) == []
+        assert struct.insert(2) == [0, 1]
+        assert 2 in struct and len(struct) == 1

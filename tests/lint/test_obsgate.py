@@ -56,6 +56,34 @@ class TestUngatedFlagged:
         )
         assert rule_ids(report) == ["O501"]
 
+    def test_unrelated_gate_around_loop_does_not_gate(self, lint_tree):
+        report = lint_tree(
+            {
+                "src/repro/core/fastpath.py": """\
+                def account(nodes, counts, rec_serves):
+                    if counts:
+                        for node in nodes:
+                            rec_serves[node] += 1
+                """
+            }
+        )
+        assert rule_ids(report) == ["O501"]
+
+    def test_gate_around_def_does_not_cover_its_loops(self, lint_tree):
+        report = lint_tree(
+            {
+                "src/repro/core/fastpath.py": """\
+                def run(requests, observing):
+                    if observing:
+                        def count(rec_serves):
+                            for i in requests:
+                                rec_serves[i] += 1
+                        return count
+                """
+            }
+        )
+        assert rule_ids(report) == ["O501"]
+
     def test_while_loop_also_covered(self, lint_tree):
         report = lint_tree(
             {
@@ -121,6 +149,21 @@ class TestGatedAllowed:
                         if observing:
                             while rec_evicts[i] > 0:
                                 rec_evicts[i] -= 1
+                """
+            }
+        )
+        assert rule_ids(report) == []
+
+    def test_gate_around_loop_covers_it(self, lint_tree):
+        # A loop that only runs with a sink attached costs nothing when
+        # observability is off (per-block trace emission).
+        report = lint_tree(
+            {
+                "src/repro/core/fastpath.py": """\
+                def account(sampled, tracer):
+                    if tracer is not None:
+                        for k in sampled:
+                            tracer.emit_request(k)
                 """
             }
         )

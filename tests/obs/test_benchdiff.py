@@ -15,6 +15,7 @@ from repro.obs.benchdiff import (
     format_deltas,
     load_report,
     run_bench_diff,
+    scale_mismatches,
 )
 
 
@@ -149,6 +150,45 @@ class TestGateExits:
             )
             == 0
         )
+
+    def test_section_scale_mismatch_refused(self, tmp_path):
+        # Same top-level scale, but a merged section recorded at another
+        # scale: a 100M-request replay must not pair with a 20M one.
+        section = {"scale": 0.2, "replay_seconds": 10.0}
+        base = _write(tmp_path, "base.json", _report(stream_replay=section))
+        cur = _write(
+            tmp_path, "cur.json",
+            _report(stream_replay={"scale": 1.0, "replay_seconds": 70.0}),
+        )
+        lines = []
+        assert run_bench_diff(base, cur, 100.0, out=lines.append) == 2
+        assert lines == [
+            "bench-diff: scale mismatch in stream_replay (baseline 0.2, "
+            "current 1.0); rerun at the baseline scale or pass "
+            "--allow-scale-mismatch"
+        ]
+        # Forced through, the 5x-longer replay reads as a regression.
+        assert run_bench_diff(
+            base, cur, 100.0, allow_scale_mismatch=True, out=lambda _: None
+        ) == 1
+
+    def test_section_inherits_the_parent_scale(self, tmp_path):
+        # A section without its own scale is measured at its parent's.
+        base = _write(
+            tmp_path, "base.json",
+            _report(stream_replay={"scale": 0.2, "replay_seconds": 10.0}),
+        )
+        cur = _write(
+            tmp_path, "cur.json",
+            _report(stream_replay={"replay_seconds": 10.0}),
+        )
+        assert run_bench_diff(base, cur, 10.0, out=lambda _: None) == 0
+        # A top-level mismatch is reported once, not again in figure6
+        # (which inherits it); stream_replay agrees at 0.2 on both sides.
+        assert scale_mismatches(
+            _report(scale=1.0, stream_replay={"scale": 0.2}),
+            _report(stream_replay={}),
+        ) == [("(top level)", 1.0, 0.2)]
 
     def test_no_comparable_metrics_is_an_error(self, tmp_path):
         base = _write(tmp_path, "base.json", {"schema": "x", "note": "a"})
