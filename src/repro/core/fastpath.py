@@ -19,6 +19,14 @@ this), but each request's work is split in two:
   order.  The no-cache baseline (:func:`fast_no_cache`) is this step
   alone: pure NumPy.
 
+Shortest-path, copy-everywhere runs without cooperation, capacity or
+failed nodes (:func:`_cascade_eligible`) decide as a **cascade of
+per-node filters**: a tree cache sees exactly its subtree's misses and
+copies each ("miss => insert"), so per :data:`FILTER_WINDOW` requests
+each tree level, bottom-up, filters every node's requests in order and
+passes the misses up.  The rest walk the PoP roots in request order;
+copies go to the *response* path's roots (BFS ties can make it differ).
+
 Float sums stay bit-identical because every one is an ``np.add.at``
 into the *running* accumulators: ``ufunc.at`` is unbuffered and applies
 its indices in order, so each link (and the total latency) receives
@@ -32,12 +40,12 @@ never diverge.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..cache import InfiniteCache
-from ..cache.fast import FastInfinite, make_fast_cache
+from ..cache.fast import FastInfinite, FastLRU, make_fast_cache
 from ..topology.network import HopCosts, Network
 from ..workload.generator import Workload
 from ..workload.stream import StreamingWorkload
@@ -51,12 +59,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..obs.trace import TraceWriter
     from .engine import Simulator
 
-__all__ = ["ACCOUNT_BLOCK", "FastEngine", "fast_no_cache"]
+__all__ = ["ACCOUNT_BLOCK", "FILTER_WINDOW", "FastEngine", "fast_no_cache"]
 
 #: Requests decided and accounted per block.  Bounds the per-block
 #: Python lists and the accounting's link-expansion arrays (a few MB)
 #: independently of the workload's chunk size.
 ACCOUNT_BLOCK = 1 << 12
+
+#: Requests per window of the per-node filter cascade (bounds its arrays).
+FILTER_WINDOW = 1 << 15
 
 # Serving-column encoding: ``serving << _SHIFT | outcome bits``.
 _COOP = 1
@@ -70,15 +81,61 @@ _TRANSIT = -2
 
 
 def _blocks(
-    workload: Workload | StreamingWorkload,
+    workload: Workload | StreamingWorkload, size: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """``(first request index, pops, leaves, objects)`` per block."""
     start = 0
     for chunk in workload.chunks():
-        for a in range(0, len(chunk), ACCOUNT_BLOCK):
-            b = a + ACCOUNT_BLOCK
+        for a in range(0, len(chunk), size):
+            b = a + size
             yield start + a, chunk.pops[a:b], chunk.leaves[a:b], chunk.objects[a:b]
         start += len(chunk)
+
+
+def _cascade_eligible(sim: "Simulator") -> bool:
+    """Whether ``sim``'s run decomposes into per-node filters (every knob)."""
+    arch = sim.architecture
+    return (arch.routing == "sp" and arch.insertion == "everywhere"
+            and not arch.cooperation and sim._capacity is None and not sim._failed)
+
+
+def _lru_filter(cache: FastLRU, objects: memoryview, hits: bytearray, pos: int,
+                admit: bool, sizes: list[float]) -> int:
+    """One LRU node's filter: a hit refreshes and sets ``hits[pos + k]``, a
+    miss inserts as :meth:`FastLRU.insert` unless frozen.  Returns evictions."""
+    member, order, capacity, used = cache.member, cache.order, cache.capacity, cache.used
+    evictions = 0
+    for pos, obj in enumerate(objects, pos):
+        if member[obj]:
+            del order[obj]
+            order[obj] = None
+            hits[pos] = 1
+        elif admit and sizes[obj] <= capacity:
+            size = sizes[obj]
+            while used + size > capacity and order:  # see LRUCache.insert
+                victim = next(iter(order))
+                del order[victim]
+                member[victim] = 0
+                used -= sizes[victim]
+                evictions += 1
+            member[obj] = 1
+            order[obj] = None
+            used += size
+    cache.used = used
+    return evictions
+
+
+def _struct_filter(cache: Any, objects: memoryview, hits: bytearray, pos: int,
+                   admit: bool, sizes: list[float]) -> int:
+    """Any other struct's node filter, through its ``lookup``/``insert``."""
+    lookup, insert = cache.lookup, cache.insert
+    evictions = 0
+    for pos, obj in enumerate(objects, pos):
+        if lookup(obj):
+            hits[pos] = 1
+        elif admit:
+            evictions += len(insert(obj))
+    return evictions
 
 
 class _Ledger:
@@ -483,6 +540,97 @@ class FastEngine:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Simulate the full request stream with flat state."""
+        return self._cascade() if _cascade_eligible(self._sim) else self._decide_loop()
+
+    def _cascade(self) -> SimulationResult:
+        """The per-node filter cascade (see the module docstring)."""
+        sim = self._sim
+        network = self._network
+        ts = self._ts
+        num_pops = network.num_pops
+        caches = self._caches
+        admit = not sim.frozen_caches
+        node_filter = _lru_filter if any(type(c) is FastLRU for c in caches) else _struct_filter
+        # Per tree depth, deepest first: each local's ancestor at that
+        # depth when it is a (non-root) cache, else -1.
+        levels = [np.array([c[-1 - d] if len(c) > d and self._is_cache[c[-1 - d]] else -1
+                            for c in network._chain]) for d in range(network.tree.depth, 0, -1)]
+        levels = [ancestors for ancestors in levels if (ancestors >= 0).any()]
+        # Root-stage tables per ``from * num_pops + to`` PoP pair: the own
+        # and transit roots' lookups on the request path, and the inserts
+        # at the response path's roots, ``path_nodes(server, own root)[1:]``.
+        roots = bool(self._is_cache[0])
+        paths = [path for row in network._core_paths for path in row] if roots else []
+        walks = [tuple((r, caches[r * ts].lookup) for r in path[:-1]) for path in paths]
+        copies = [tuple((r * ts, caches[r * ts].insert) for r in path[1:] if admit)
+                  for path in paths]
+        ledger = _Ledger(
+            self._observer, sim.architecture.name, sim.architecture.routing,
+            network, sim.costs, sim.workload, sim.warmup_fraction, trace_warmup=True,
+        )
+        rec = self._rec = ledger.rec
+        observing = rec is not None
+        rec_copies = rec.copies if rec is not None else []
+        rec_evicts = rec.evictions if rec is not None else []
+
+        for start, pops, leaves, objects in _blocks(sim.workload, FILTER_WINDOW):
+            origin = sim.workload.origins[objects]
+            serving = origin.astype(np.int64) * ts  # the serving column, int64
+            alive = np.ones(len(objects), dtype=bool)
+            # Tree stage: each level filters the misses from below.
+            for ancestors in levels:
+                local = ancestors[leaves]
+                reqs = np.flatnonzero(alive & (local >= 0))
+                if not len(reqs):
+                    continue
+                nodes = pops[reqs] * ts + local[reqs]
+                order = np.argsort(nodes, kind="stable")
+                reqs, nodes = reqs[order], nodes[order]
+                view = memoryview(objects[reqs])
+                hits = bytearray(len(reqs))
+                bounds = (np.flatnonzero(np.diff(nodes)) + 1).tolist()
+                for a, b in zip([0, *bounds], [*bounds, len(reqs)]):
+                    node = int(nodes[a])
+                    evicted = node_filter(caches[node], view[a:b], hits, a, admit, self._sizes)
+                    if observing and admit:  # frozen: no copies, no evictions
+                        rec_copies[node] += b - a - hits.count(1, a, b)
+                        rec_evicts[node] += evicted
+                hit = np.frombuffer(hits, dtype=bool)
+                serving[reqs[hit]] = nodes[hit]
+                alive[reqs[hit]] = False
+            codes = serving << _SHIFT
+            codes[alive] |= _ORIGIN
+            # Root stage, in request order: the residue bound for another
+            # PoP's origin (own-origin requests stop at the origin store).
+            residue = alive & (origin != pops) & roots
+            for a in range(0, len(objects), ACCOUNT_BLOCK):
+                b = a + ACCOUNT_BLOCK
+                reqs = a + np.flatnonzero(residue[a:b])
+                served: list[int] = []
+                emit = served.append
+                for pop, origin_pop, obj in zip(
+                    pops[reqs].tolist(), origin[reqs].tolist(), objects[reqs].tolist()
+                ):
+                    for server, lookup in walks[pop * num_pops + origin_pop]:
+                        if lookup(obj):
+                            emit(server * ts << _SHIFT)
+                            break
+                    else:
+                        server = origin_pop
+                        emit(server * ts << _SHIFT | _ORIGIN)
+                    for root, insert in copies[server * num_pops + pop]:
+                        evicted = insert(obj)
+                        if observing:
+                            rec_copies[root] += 1
+                            rec_evicts[root] += len(evicted)
+                codes[reqs] = served
+                ledger.account(start + a, pops[a:b], leaves[a:b], objects[a:b], codes[a:b])
+
+        self._rec = None
+        return ledger.result()
+
+    def _decide_loop(self) -> SimulationResult:
+        """The general per-request decide loop (any configuration)."""
         sim = self._sim
         network = self._network
         arch = sim.architecture
@@ -533,7 +681,7 @@ class FastEngine:
         rec_copies = rec.copies if rec is not None else []
         rec_evicts = rec.evictions if rec is not None else []
 
-        for start, bpops, bleaves, bobjects in _blocks(workload):
+        for start, bpops, bleaves, bobjects in _blocks(workload, ACCOUNT_BLOCK):
             leaf = bpops * ts + bleaves
             origin = origins[bobjects]
             keys = 2 * leaf + (origin == bpops)
@@ -652,6 +800,6 @@ def fast_no_cache(
     origin_codes = (
         np.asarray(workload.origins, dtype=np.int64) * network.tree_size << _SHIFT
     ) | _ORIGIN
-    for start, pops, leaves, objects in _blocks(workload):
+    for start, pops, leaves, objects in _blocks(workload, ACCOUNT_BLOCK):
         ledger.account(start, pops, leaves, objects, origin_codes[objects])
     return ledger.result()

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 
 @dataclass(frozen=True)
 class Pop:
@@ -95,14 +93,6 @@ class PopTopology:
         """Per-PoP population shares (sums to 1)."""
         total = self.total_population
         return [pop.population / total for pop in self.pops]
-
-    def to_networkx(self) -> nx.Graph:
-        """Export as a ``networkx.Graph`` with population node attributes."""
-        graph = nx.Graph(name=self.name)
-        for pop in self.pops:
-            graph.add_node(pop.index, name=pop.name, population=pop.population)
-        graph.add_edges_from(self.edges)
-        return graph
 
     def _is_connected(self) -> bool:
         seen = {0}

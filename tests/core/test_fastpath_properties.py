@@ -15,6 +15,15 @@ The fast engine decides and accounts in blocks of
 :data:`repro.core.fastpath.ACCOUNT_BLOCK` requests;
 ``test_block_and_chunk_size_invariance`` shows that neither that size
 nor the workload's chunk size changes a single output.
+
+Shortest-path, copy-everywhere runs take the per-node filter cascade
+instead of the general decide loop.  ``test_cascade_equals_decide_loop``
+draws worlds from exactly that class (any policy, preload, frozen
+caches, filter windows of 1, 7 and n requests) and pins the cascade,
+the general loop and the reference engine to one another; the PoP
+graphs can tie shortest paths so that a response core path is not the
+reversed request path (``test_response_path_differs_from_request_path``
+is the hand-built case).
 """
 
 from __future__ import annotations
@@ -33,12 +42,14 @@ from repro.core import (
     architecture,
     simulate_no_cache,
 )
-from repro.core import fastpath
+from repro.core import EDGE, ICN_SP, fastpath
+from repro.core.fastpath import FastEngine
 from repro.obs import MetricsRegistry, Observer, TraceSampler, TraceWriter
 from repro.topology import AccessTree, Network, Pop, PopTopology
 from repro.workload import StreamingWorkload, Workload
 
 from ..conftest import assert_results_identical
+from .test_fastpath_equivalence import ALL_ARCHITECTURES
 
 ARCHITECTURES = (
     "ICN-SP", "ICN-NR", "ICN-NR-Global", "EDGE", "EDGE-Coop", "EDGE-Norm",
@@ -47,17 +58,23 @@ ARCHITECTURES = (
 
 
 @st.composite
-def worlds(draw):
-    """A random network, workload delivered in chunks, and run knobs."""
-    num_pops = draw(st.integers(1, 4))
+def networks(draw):
+    """A random connected PoP graph with small access trees.
+
+    The graph is a chain through a random PoP order plus a few extra
+    edges, so shortest paths can tie in ways the sorted-neighbour BFS
+    breaks differently from each end (a 6-PoP ring suffices).
+    """
+    num_pops = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(num_pops)))
     extra = draw(
         st.lists(
             st.tuples(st.integers(0, num_pops - 1), st.integers(0, num_pops - 1)),
             max_size=3,
         )
     )
-    edges = {(i, i + 1) for i in range(num_pops - 1)}  # connected chain
-    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    chain = zip(order, order[1:])  # connected
+    edges = {(min(a, b), max(a, b)) for a, b in (*chain, *extra) if a != b}
     topology = PopTopology(
         name="random",
         pops=tuple(
@@ -65,10 +82,15 @@ def worlds(draw):
         ),
         edges=tuple(sorted(edges)),
     )
-    network = Network(
+    return Network(
         topology, AccessTree(draw(st.integers(2, 3)), draw(st.integers(1, 2)))
     )
 
+
+@st.composite
+def streams(draw, network):
+    """A random workload over ``network``, delivered in random chunks."""
+    num_pops = network.num_pops
     n = draw(st.integers(1, 120))
     num_objects = draw(st.integers(1, 8))  # small: many repeats, many hits
     leaves = network.tree.leaves
@@ -115,13 +137,20 @@ def worlds(draw):
         ),
     )
     chunk_size = draw(st.integers(1, n))
-    streamed = StreamingWorkload(
+    return StreamingWorkload(
         num_objects=num_objects,
         sizes=workload.sizes,
         origins=workload.origins,
         chunk_factory=lambda: workload.chunks(chunk_size),
         num_requests=n,
     )
+
+
+@st.composite
+def worlds(draw):
+    """A random network, workload delivered in chunks, and run knobs."""
+    network = draw(networks())
+    streamed = draw(streams(network))
     arch = architecture(draw(st.sampled_from(ARCHITECTURES)))
     insertion = draw(st.sampled_from(("everywhere", "lcd", "probabilistic")))
     if insertion != "everywhere":
@@ -274,3 +303,174 @@ def test_block_and_chunk_size_invariance(
             assert_results_identical(ref_result, result)
             assert registry == ref_registry
             assert trace == ref_trace
+
+
+#: Shortest-path, copy-everywhere designs without cooperation: the
+#: per-node filter cascade's class (infinite caches included).
+CASCADE_ARCHITECTURES = ("ICN-SP", "EDGE", "EDGE-Norm", "2-Levels", "EDGE-Inf")
+
+
+@st.composite
+def cascade_worlds(draw):
+    """A random world the per-node filter cascade must decide exactly."""
+    network = draw(networks())
+    streamed = draw(streams(network))
+    arch = architecture(draw(st.sampled_from(CASCADE_ARCHITECTURES)))
+    cache_nodes = [
+        pop * network.tree_size + local
+        for pop in range(network.num_pops)
+        for local in arch.cache_locals(network.tree)
+    ]
+    preload = draw(
+        st.dictionaries(
+            st.sampled_from(cache_nodes),
+            st.lists(st.integers(0, streamed.num_objects - 1), max_size=3),
+            max_size=4,
+        )
+    )
+    knobs = dict(
+        policy=draw(st.sampled_from(("lru", "lfu", "fifo"))),
+        warmup_fraction=draw(st.sampled_from((0.0, 0.2, 0.5, 0.9))),
+        preload=preload or None,
+        frozen_caches=draw(st.booleans()),
+    )
+    budgets = draw(
+        st.lists(
+            st.floats(0.0, 5.0),
+            min_size=network.num_nodes, max_size=network.num_nodes,
+        )
+    )
+    return network, streamed, arch, budgets, knobs
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    world=cascade_worlds(),
+    window=st.sampled_from((1, 7, None)),
+    rate=st.sampled_from((1.0, 0.4)),
+    seed=st.integers(0, 3),
+)
+def test_cascade_equals_decide_loop(world, window, rate, seed):
+    """Cascade, general decide loop and reference agree field for field.
+
+    ``window=None`` puts the whole stream in one filter window; the
+    registry snapshots and trace JSONL must match byte for byte too.
+    """
+    network, workload, arch, budgets, knobs = world
+
+    def simulator(engine, observer):
+        return Simulator(
+            network, arch, workload, budgets, engine=engine,
+            observer=observer, **knobs,
+        )
+
+    def reference(observer=None):
+        return simulator("reference", observer).run()
+
+    def cascade(observer=None):
+        sim = simulator("fast", observer)
+        assert fastpath._cascade_eligible(sim)
+        return FastEngine(sim).run()
+
+    def decide_loop(observer=None):
+        return FastEngine(simulator("fast", observer))._decide_loop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastpath, "FILTER_WINDOW", window or workload.num_requests)
+        expected = _observed(reference, rate, seed)
+        for run in (cascade, decide_loop):
+            assert_results_identical(reference(), run())
+            result, registry, trace = _observed(run, rate, seed)
+            assert_results_identical(expected[0], result)
+            assert registry == expected[1]
+            assert trace == expected[2]
+
+
+def test_response_path_differs_from_request_path():
+    """Copies go to the response path's roots, not the request path's.
+
+    On a 6-PoP ring the sorted-neighbour BFS breaks the tie between the
+    two 3-hop routes differently from each end: PoP 0 reaches PoP 5
+    through roots 1 and 4, but PoP 5 answers through roots 3 and 2.
+    (Every ring of four or five PoPs breaks its ties symmetrically.)
+    So PoP 0's origin fetch of object 0 leaves copies at roots 3 and
+    2, and PoP 2's later request hits its own root.  Before that, PoP
+    3's own fetch put object 0 at root 3, which PoP 0's request never
+    asks: its response-path copy there is a refresh plus a copy.
+    """
+    topology = PopTopology(
+        "ring6",
+        tuple(Pop(i, f"p{i}", 1) for i in range(6)),
+        ((0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)),
+    )
+    network = Network(topology, AccessTree(2, 1))
+    assert network.core_path(0, 5) == (0, 1, 4, 5)
+    assert network.core_path(5, 0) == (5, 3, 2, 0)
+    workload = Workload(
+        num_objects=1,
+        pops=np.array([3, 0, 2]),
+        leaves=np.array([1, 1, 1]),
+        objects=np.zeros(3, dtype=np.int64),
+        sizes=np.ones(1),
+        origins=np.array([5]),
+    )
+    budgets = [1.0] * network.num_nodes
+    runs = {
+        engine: _observed(
+            lambda observer, engine=engine: Simulator(
+                network, ICN_SP, workload, budgets, engine=engine,
+                observer=observer,
+            ).run(),
+            1.0, 0,
+        )
+        for engine in ("reference", "fast")
+    }
+    result, registry, trace = runs["fast"]
+    # Two origin fetches (2 + 4 hops), then one hit at PoP 2's own root
+    # (1 hop); copies along the request path would leave it 2 hops off.
+    assert (result.cache_served, result.total_latency) == (1, 7.0)
+    assert_results_identical(runs["reference"][0], result)
+    assert registry == runs["reference"][1]
+    assert trace == runs["reference"][2]
+
+
+def test_dispatch_pins_both_paths(small_network, random_workload, monkeypatch):
+    """Which configurations take the cascade and which the decide loop.
+
+    The differential matrix (``test_fastpath_equivalence.py``) runs
+    ``FastEngine.run``; this pins that its architectures and knobs
+    reach both implementations, so it keeps certifying each.
+    """
+    taken = []
+    for name in ("_cascade", "_decide_loop"):
+        method = getattr(FastEngine, name)
+        monkeypatch.setattr(
+            FastEngine, name,
+            lambda self, name=name, method=method: taken.append(name) or method(self),
+        )
+    workload = random_workload(small_network, 3, num_requests=60, num_objects=10)
+    budgets = [2.0] * small_network.num_nodes
+
+    def path(arch, **knobs):
+        taken.clear()
+        Simulator(
+            small_network, arch, workload, budgets, engine="fast", **knobs
+        ).run()
+        (name,) = taken
+        return name
+
+    assert {a.name for a in ALL_ARCHITECTURES if path(a) == "_cascade"} == {
+        "ICN-SP", "EDGE", "EDGE-Norm", "Baseline", "2-Levels", "Norm", "EDGE-Inf",
+    }
+    assert path(EDGE, policy="lfu") == "_cascade"
+    assert path(
+        ICN_SP, preload={0: [1]}, frozen_caches=True, warmup_fraction=0.5
+    ) == "_cascade"
+    for knobs in (
+        dict(failed_nodes={0}),
+        dict(capacity=CapacityModel(per_window=4, window=50)),
+    ):
+        assert path(ICN_SP, **knobs) == "_decide_loop"
+    for insertion in ("lcd", "probabilistic"):
+        variant = replace(ICN_SP, name=f"ICN-SP-{insertion}", insertion=insertion)
+        assert path(variant) == "_decide_loop"

@@ -97,8 +97,40 @@ class TestUngatedFlagged:
         )
         assert rule_ids(report) == ["O501"]
 
+    def test_ungated_copy_count_in_node_filter_flagged(self, lint_tree):
+        # The per-node filter cascade: a filter loop over one node's
+        # requests must gate its copy counts like the decide loop does.
+        report = lint_tree(
+            {
+                "src/repro/core/fastpath.py": """\
+                def cascade(groups, caches, rec):
+                    for node, objects in groups:
+                        for obj in objects:
+                            if not caches[node].lookup(obj):
+                                rec.copies[node] += 1
+                """
+            }
+        )
+        assert rule_ids(report) == ["O501"]
+
 
 class TestGatedAllowed:
+    def test_gated_per_node_counts_allowed(self, lint_tree):
+        # Counting once per node group, behind the gate, is the
+        # cascade's pattern.
+        report = lint_tree(
+            {
+                "src/repro/core/fastpath.py": """\
+                def cascade(groups, node_filter, observing, admit, rec_copies):
+                    for node, objects in groups:
+                        misses = node_filter(node, objects)
+                        if observing and admit:
+                            rec_copies[node] += misses
+                """
+            }
+        )
+        assert rule_ids(report) == []
+
     def test_bool_gate_allowed(self, lint_tree):
         report = lint_tree(
             {

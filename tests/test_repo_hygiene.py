@@ -2,7 +2,10 @@
 source tree passes its own static-analysis gate."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,24 @@ class TestLayout:
         for path in (ROOT / "src" / "repro").rglob("*.py"):
             tree = ast.parse(path.read_text())
             assert ast.get_docstring(tree), f"{path} lacks a module docstring"
+
+
+class TestDependencies:
+    def test_imports_without_networkx(self):
+        # A fresh interpreter whose meta-path refuses networkx: the
+        # package and the chaos smoke entry point must still import.
+        code = (
+            "import sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'networkx':\n"
+            "            raise ImportError('networkx is blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "import repro, repro.idicn.chaos\n"
+            "assert 'networkx' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestStaticAnalysis:

@@ -1,6 +1,5 @@
 """Tests for the PoP-level topology container."""
 
-import networkx as nx
 import pytest
 
 from repro.topology import Pop, PopTopology
@@ -67,11 +66,3 @@ class TestAccessors:
         assert small_topology.populations == (
             4_000_000, 2_000_000, 1_000_000, 1_000_000,
         )
-
-    def test_to_networkx_preserves_structure(self, small_topology):
-        graph = small_topology.to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
-        assert nx.is_connected(graph)
-        assert graph.nodes[0]["population"] == 4_000_000
-        assert graph.nodes[0]["name"] == "A"
