@@ -12,12 +12,12 @@ this), but each request's work is split in two:
   column with the cooperation / fallback / origin outcome in its low
   bits;
 * **account** — :class:`_Ledger` folds each block's column in NumPy:
-  the warmup slice, each distinct (serving, leaf) pair's cost and links
-  (computed once through the reference ``Network`` oracles), latency,
-  per-link transfers, origin serves, outcome counts,
-  ``RunRecorder.serves`` and the sampled trace records, in request
-  order.  The no-cache baseline (:func:`fast_no_cache`) is this step
-  alone: pure NumPy.
+  the warmup slice, each (serving, leaf) pair's cost and links (from
+  the network's shared :meth:`~repro.topology.Network.route_table`,
+  bit-identical to the ``Network`` oracles), latency, per-link
+  transfers, origin serves, outcome counts, ``RunRecorder.serves`` and
+  the sampled trace records, in request order.  The no-cache baseline
+  (:func:`fast_no_cache`) is this step alone: pure NumPy.
 
 Shortest-path, copy-everywhere runs without cooperation, capacity or
 failed nodes (:func:`_cascade_eligible`) decide as a **cascade of
@@ -39,6 +39,7 @@ never diverge.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
@@ -172,17 +173,11 @@ class _Ledger:
         self._observer = observer
         self._architecture = architecture
         self._network = network
-        self._costs = costs
         self._sizes = np.asarray(workload.sizes, dtype=np.float64)
         self._first_measured = first_measured
         self._trace_from = 0 if trace_warmup else first_measured
-        # (serving, leaf) pair table: cost, and links in CSR form
-        # (``bounds[p]:bounds[p + 1]``), plus the known keys, sorted.
-        self._pair_keys = np.zeros(0, dtype=np.int64)
-        self._pair_ids = np.zeros(0, dtype=np.intp)
-        self._pair_cost = np.zeros(0)
-        self._pair_bounds = np.zeros(1, dtype=np.int32)
-        self._pair_links = np.zeros(0, dtype=np.int32)
+        # The network's shared (serving, leaf) route table.
+        self._routes = network.route_table(costs)
         self._zeros = np.zeros(ACCOUNT_BLOCK, dtype=np.intp)
         self.total_latency = np.zeros(1)
         self.link_transfers = np.zeros(network.num_links)
@@ -191,35 +186,6 @@ class _Ledger:
         self.cache_served = 0
         self.coop_served = 0
         self.fallback_served = 0
-
-    def _pairs(self, keys: np.ndarray) -> np.ndarray:
-        """Pair-table ids for ``serving * num_nodes + leaf`` keys.
-
-        A pair seen for the first time is computed once through the
-        reference ``Network`` oracles and appended to the table.
-        """
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        new = np.setdiff1d(uniq, self._pair_keys, assume_unique=True)
-        if len(new):
-            network = self._network
-            pairs = [divmod(key, network.num_nodes) for key in new.tolist()]
-            paths = [network.path_links(serving, leaf) for serving, leaf in pairs]
-            self._pair_cost = np.concatenate((self._pair_cost, [
-                network.path_cost(serving, leaf, self._costs) for serving, leaf in pairs
-            ]))
-            self._pair_bounds = np.concatenate((self._pair_bounds, self._pair_bounds[-1]
-                                                + np.cumsum([len(p) for p in paths],
-                                                            dtype=np.int32)))
-            self._pair_links = np.concatenate((self._pair_links, np.array(
-                [link for path in paths for link in path], dtype=np.int32
-            )))
-            keys_all = np.concatenate((self._pair_keys, new))
-            ids_all = np.concatenate((self._pair_ids, np.arange(
-                len(self._pair_ids), len(keys_all)
-            )))
-            order = np.argsort(keys_all)
-            self._pair_keys, self._pair_ids = keys_all[order], ids_all[order]
-        return self._pair_ids[np.searchsorted(self._pair_keys, uniq)][inverse]
 
     def account(
         self,
@@ -239,8 +205,9 @@ class _Ledger:
         network = self._network
         ts = network.tree_size
         serving = codes[first:] >> _SHIFT
-        pid = self._pairs(serving * network.num_nodes + pops[first:] * ts + leaves[first:])
-        cost = self._pair_cost[pid]
+        routes = self._routes
+        pid = routes.ids(serving * network.num_nodes + pops[first:] * ts + leaves[first:])
+        cost = routes.cost[pid]
         if tracer is not None:
             wanted = [k for k in range(first, n) if tracer.wants(start + k)]
             sel = np.array(wanted, dtype=np.intp)
@@ -267,8 +234,8 @@ class _Ledger:
         serving = serving[lo - first:]
         pid = pid[lo - first:]
         np.add.at(self.total_latency, self._zeros[:m], cost[lo - first:])
-        starts = self._pair_bounds[pid]
-        lengths = self._pair_bounds[pid + 1] - starts
+        starts = routes.bounds[pid]
+        lengths = routes.bounds[pid + 1] - starts
         ends = np.cumsum(lengths, dtype=np.int32)
         if ends[-1]:
             # Each request's response-path links, flattened in order.
@@ -276,7 +243,7 @@ class _Ledger:
             flat += np.arange(ends[-1], dtype=np.int32)
             np.add.at(
                 self.link_transfers,
-                self._pair_links[flat],
+                routes.links[flat],
                 np.repeat(self._sizes[objects[lo:]], lengths),
             )
         outcomes = codes[lo:]
@@ -389,10 +356,14 @@ class FastEngine:
         ]
 
         # Memoized tables, filled on first use: insert targets per
-        # (serving, leaf) pair, shared walk candidates, tree walks per
-        # ``2 * leaf + own_origin`` and transit walks per
+        # (serving, leaf) pair and the pieces they are cut from (each
+        # leaf's live chain, each PoP pair's live response core roots;
+        # see ``_insert_targets``), shared walk candidates, tree walks
+        # per ``2 * leaf + own_origin`` and transit walks per
         # ``pop * num_pops + origin_pop`` (see ``_tree_walk``).
         self._targets: dict[int, tuple[int, ...]] = {}
+        self._live_chains: list = [None] * num_nodes
+        self._core_root_paths: list = [None] * network.num_pops**2
         self._candidates: dict[tuple[int, int], tuple[int, int, object]] = {}
         self._walks = np.empty(2 * num_nodes, dtype=object)
         self._walked = np.zeros(2 * num_nodes, dtype=bool)
@@ -407,20 +378,73 @@ class FastEngine:
         The cache-enabled, non-failed response-path nodes below
         ``serving``, in response-path order: the exact sequence the
         reference insertion loop (and its probabilistic RNG) visits.
-        Empty for frozen caches.
+        Empty for frozen caches.  Derived from the per-run tables below
+        rather than a path walk: from another PoP the response path is
+        the server's ancestors, the core path's roots and the leaf's
+        chain below its root; from an ancestor of the leaf it is the
+        leaf's chain below the server's depth.  Only an in-tree server
+        that is not an ancestor (an NR scope replica or a cooperating
+        sibling) takes the tree path through the LCA.
         """
         key = serving * self._network.num_nodes + leaf_gid
         targets = self._targets.get(key)
-        if targets is None:
+        if targets is not None:
+            return targets
+        if self._sim.frozen_caches:
+            targets = ()
+        else:
             ts = self._ts
-            is_cache = self._is_cache
-            failed = self._sim._failed
-            targets = self._targets[key] = () if self._sim.frozen_caches else tuple(
-                node
-                for node in self._network.path_nodes(serving, leaf_gid)[1:]
-                if is_cache[node % ts] and node not in failed
-            )
+            pop, local = divmod(serving, ts)
+            leaf_pop, leaf_local = divmod(leaf_gid, ts)
+            chain = self._live_chains[leaf_gid]
+            if chain is None:
+                chain = self._live_chain(leaf_gid)
+            if pop != leaf_pop:
+                roots = self._core_root_paths[pop * self._network.num_pops + leaf_pop]
+                if roots is None:
+                    roots = self._core_roots(pop, leaf_pop)
+                targets = roots + chain[bisect_right(chain, leaf_gid - leaf_local):]
+                if local:
+                    targets = self._above(serving) + targets
+            elif local in self._network._chain[leaf_local]:  # an ancestor of the leaf
+                targets = chain[bisect_right(chain, serving):]
+            else:
+                targets = tuple(
+                    node for node in self._network.path_nodes(serving, leaf_gid)[1:]
+                    if self._live(node)
+                )
+        self._targets[key] = targets
         return targets
+
+    def _live(self, node: int) -> bool:
+        """Whether ``node`` carries a working cache in this run."""
+        return bool(self._is_cache[node % self._ts]) and node not in self._sim._failed
+
+    def _live_chain(self, leaf_gid: int) -> tuple[int, ...]:
+        """The live nodes on ``leaf_gid``'s chain, root first.
+
+        BFS numbering makes a deeper node on one chain a larger id, so
+        the nodes below a chain node ``n`` are the suffix after ``n``'s
+        bisection point.
+        """
+        base = leaf_gid - leaf_gid % self._ts
+        chain = self._live_chains[leaf_gid] = tuple(
+            base + local for local in reversed(self._network._chain[leaf_gid % self._ts])
+            if self._live(base + local)
+        )
+        return chain
+
+    def _above(self, node: int) -> tuple[int, ...]:
+        """``node``'s live strict ancestors, bottom up."""
+        return tuple(up for up in self._network.chain_to_root(node)[1:] if self._live(up))
+
+    def _core_roots(self, pop: int, leaf_pop: int) -> tuple[int, ...]:
+        """Live PoP roots after ``pop`` on the response core path to ``leaf_pop``."""
+        roots = self._core_root_paths[pop * self._network.num_pops + leaf_pop] = tuple(
+            later * self._ts for later in self._network._core_paths[pop][leaf_pop][1:]
+            if self._live(later * self._ts)
+        )
+        return roots
 
     def _tree_walk(self, tree_key: int) -> tuple[tuple[int, int, object], ...]:
         """Walk candidates for ``2 * leaf + (origin PoP is the leaf's)``.
@@ -558,12 +582,12 @@ class FastEngine:
         levels = [ancestors for ancestors in levels if (ancestors >= 0).any()]
         # Root-stage tables per ``from * num_pops + to`` PoP pair: the own
         # and transit roots' lookups on the request path, and the inserts
-        # at the response path's roots, ``path_nodes(server, own root)[1:]``.
+        # at the response path's roots (``_core_roots``).
         roots = bool(self._is_cache[0])
         paths = [path for row in network._core_paths for path in row] if roots else []
         walks = [tuple((r, caches[r * ts].lookup) for r in path[:-1]) for path in paths]
-        copies = [tuple((r * ts, caches[r * ts].insert) for r in path[1:] if admit)
-                  for path in paths]
+        copies = [tuple((r, caches[r].insert) for r in self._core_roots(*divmod(k, num_pops)))
+                  if admit else () for k in range(len(paths))]
         ledger = _Ledger(
             self._observer, sim.architecture.name, sim.architecture.routing,
             network, sim.costs, sim.workload, sim.warmup_fraction, trace_warmup=True,

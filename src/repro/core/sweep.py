@@ -10,6 +10,8 @@ grid out over worker processes:
   trace objects), so a point's result depends only on the point itself
   — chunked parallel execution is bit-identical to serial execution
   regardless of worker count;
+* chunks go to the pool heaviest first (estimated requests x runs), so
+  the largest point never starts last and runs alone;
 * per-point seeds are derived with :func:`spawn_seeds` from one base
   seed via ``numpy.random.SeedSequence.spawn``, giving collision-free
   independent streams without hand-picked offsets;
@@ -445,6 +447,29 @@ def _chunked(
         yield points[start : start + chunk_size]
 
 
+def _point_cost(point: SweepPoint) -> float:
+    """Estimated cost of one point: requests x (NO-CACHE + each architecture).
+
+    The requests are the trace's length for a trace-driven point, else
+    the configured stream's share per PoP shard.
+    """
+    if point.objects is not None:
+        requests = float(len(point.objects))
+    else:
+        requests = point.config.num_requests / (point.shard[1] if point.shard else 1)
+    return requests * (1 + len(point.architectures))
+
+
+def _heaviest_first(chunks: Sequence[Sequence[SweepPoint]]) -> list[int]:
+    """Chunk indices in descending estimated cost; ties keep grid order.
+
+    Submitting the longest chunks first keeps one big point from
+    starting last and running alone while the other workers idle.
+    """
+    costs = [sum(map(_point_cost, chunk)) for chunk in chunks]
+    return sorted(range(len(chunks)), key=lambda index: -costs[index])
+
+
 def _preregister_sweep_metrics(registry: "MetricsRegistry") -> None:
     """Create the sweep orchestration families up front.
 
@@ -720,10 +745,13 @@ def run_sweep(
             if chunk_span is not None:
                 chunk_spans[future] = chunk_span
 
-        for index, chunk in enumerate(_chunked(points, chunk_size)):
-            for point in chunk:
+        # Heaviest first; each chunk keeps its grid-order label, so span
+        # ids and the merged registry do not depend on the dispatch.
+        chunks = list(_chunked(points, chunk_size))
+        for index in _heaviest_first(chunks):
+            for point in chunks[index]:
                 attempts_by_key[point.key] += 1
-            submit(chunk, f"chunk-{index:04d}")
+            submit(chunks[index], f"chunk-{index:04d}")
         timed_out = False
         while pending:
             remaining = None

@@ -62,7 +62,6 @@ from .spans import (
     SPAN_SCHEMA,
     Span,
     SpanTracker,
-    merge_span_records,
     span_id,
 )
 from .trace import TRACE_VERSION, TraceSampler, TraceWriter
@@ -94,7 +93,6 @@ __all__ = [
     "TraceStats",
     "TraceWriter",
     "diff_reports",
-    "merge_span_records",
     "read_heartbeat",
     "render_heartbeat",
     "run_bench_diff",

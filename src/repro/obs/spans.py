@@ -260,22 +260,3 @@ class SpanTracker:
         else:
             destination.write(text)
 
-
-def merge_span_records(
-    *record_lists: Iterable[Mapping[str, object]],
-) -> list[dict[str, object]]:
-    """Merge worker record lists into one canonically ordered list.
-
-    Deterministic regardless of the order the lists arrive in: the
-    result sorts by path, and a duplicate path (two workers claiming the
-    same span) raises rather than silently keeping either.
-    """
-    merged: dict[str, dict[str, object]] = {}
-    for records in record_lists:
-        for record in records:
-            path = record["path"]
-            assert isinstance(path, str)
-            if path in merged:
-                raise ValueError(f"duplicate span path {path!r} in merge")
-            merged[path] = dict(record)
-    return [merged[path] for path in sorted(merged)]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .access_tree import AccessTree
 from .pop import PopTopology
+from .routes import RouteTable
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class Network:
         self._chain = tuple(
             tuple(tree.path_to_root(local)) for local in range(tree.size)
         )
+        self._route_tables: dict[HopCosts, RouteTable] = {}
 
     # ------------------------------------------------------------------
     # Node id helpers
@@ -189,6 +191,19 @@ class Network:
             + self._core_dist[pop_a][pop_b] * costs.core_hop
             + to_root[b % self.tree_size]
         )
+
+    def route_table(self, costs: HopCosts) -> RouteTable:
+        """The shared (serving, leaf) route table under ``costs``.
+
+        Memoized per cost model on this network, so every run on it
+        (the no-cache baseline and each architecture) fills and reuses
+        one table; its entries equal :meth:`path_cost` and
+        :meth:`path_links` bit for bit.
+        """
+        table = self._route_tables.get(costs)
+        if table is None:
+            table = self._route_tables[costs] = RouteTable(self, costs)
+        return table
 
     # ------------------------------------------------------------------
     # Internals

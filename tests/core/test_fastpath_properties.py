@@ -24,6 +24,15 @@ the general loop and the reference engine to one another; the PoP
 graphs can tie shortest paths so that a response core path is not the
 reversed request path (``test_response_path_differs_from_request_path``
 is the hand-built case).
+
+Every run on one network shares its route table
+(:meth:`repro.topology.Network.route_table`).
+``test_route_table_equals_network_oracles`` pins each table entry to
+``Network.path_cost`` and ``Network.path_links`` on trees up to depth 5
+under every latency model; ``test_insert_targets_equal_response_path``
+pins the fast engine's structural insert targets to the filtered
+response path; ``test_warm_route_table_changes_nothing`` shows that a
+table warmed by earlier runs, in either order, changes no result.
 """
 
 from __future__ import annotations
@@ -42,14 +51,16 @@ from repro.core import (
     architecture,
     simulate_no_cache,
 )
-from repro.core import EDGE, ICN_SP, fastpath
+from repro.core import EDGE, ICN_SP, LATENCY_MODELS, fastpath, hop_costs
 from repro.core.fastpath import FastEngine
 from repro.obs import MetricsRegistry, Observer, TraceSampler, TraceWriter
-from repro.topology import AccessTree, Network, Pop, PopTopology
+from repro.topology import AccessTree, HopCosts, Network, Pop, PopTopology
 from repro.workload import StreamingWorkload, Workload
 
 from ..conftest import assert_results_identical
 from .test_fastpath_equivalence import ALL_ARCHITECTURES
+
+pytestmark = pytest.mark.fastpath
 
 ARCHITECTURES = (
     "ICN-SP", "ICN-NR", "ICN-NR-Global", "EDGE", "EDGE-Coop", "EDGE-Norm",
@@ -58,8 +69,8 @@ ARCHITECTURES = (
 
 
 @st.composite
-def networks(draw):
-    """A random connected PoP graph with small access trees.
+def networks(draw, max_depth=2):
+    """A random connected PoP graph with access trees of depth 1..max_depth.
 
     The graph is a chain through a random PoP order plus a few extra
     edges, so shortest paths can tie in ways the sorted-neighbour BFS
@@ -83,7 +94,8 @@ def networks(draw):
         edges=tuple(sorted(edges)),
     )
     return Network(
-        topology, AccessTree(draw(st.integers(2, 3)), draw(st.integers(1, 2)))
+        topology,
+        AccessTree(draw(st.integers(2, 3)), draw(st.integers(1, max_depth))),
     )
 
 
@@ -474,3 +486,132 @@ def test_dispatch_pins_both_paths(small_network, random_workload, monkeypatch):
     for insertion in ("lcd", "probabilistic"):
         variant = replace(ICN_SP, name=f"ICN-SP-{insertion}", insertion=insertion)
         assert path(variant) == "_decide_loop"
+
+
+@st.composite
+def route_worlds(draw):
+    """A network with trees up to depth 5, a cost model, and node pairs.
+
+    The cost model is a named latency model with a non-integer core
+    factor, or arbitrary floats per tree node (so that any change in
+    the order of float additions shows).  Besides random pairs, the
+    pairs include same-PoP non-ancestor servers (a leaf answering
+    another leaf) and, with two or more PoPs, non-root servers in
+    another PoP.
+    """
+    network = draw(networks(max_depth=5))
+    model = draw(st.sampled_from((*LATENCY_MODELS, "random")))
+    factor = draw(st.integers(1, 9)) + draw(st.sampled_from((0.25, 0.37, 0.5)))
+    if model == "random":
+        floats = st.floats(0.0, 10.0, allow_subnormal=False)
+        costs = HopCosts(
+            tuple(draw(st.lists(floats, min_size=network.tree_size, max_size=network.tree_size))),
+            draw(floats),
+        )
+    else:
+        costs = hop_costs(network, model, factor)
+    nodes = st.integers(0, network.num_nodes - 1)
+    pairs = draw(st.lists(st.tuples(nodes, nodes), min_size=1, max_size=60))
+    ts = network.tree_size
+    pops = st.integers(0, network.num_pops - 1)
+    leaves = st.integers(network.tree.leaves.start, network.tree.leaves.stop - 1)
+    for _ in range(draw(st.integers(1, 10))):
+        pop, other = draw(pops), draw(pops)
+        pairs.append((pop * ts + draw(leaves), pop * ts + draw(leaves)))
+        pairs.append((other * ts + draw(st.integers(1, ts - 1)), pop * ts + draw(leaves)))
+    return network, costs, pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=route_worlds(), split=st.integers(0, 60))
+def test_route_table_equals_network_oracles(world, split):
+    """Table cost is ``path_cost`` bit for bit; table links are ``path_links``.
+
+    The pairs arrive in two batches so the second mixes known and new
+    keys (and may repeat keys within itself).
+    """
+    network, costs, pairs = world
+    table = network.route_table(costs)
+    assert network.route_table(costs) is table
+    keys = np.array([a * network.num_nodes + b for a, b in pairs], dtype=np.int64)
+    table.ids(keys[:split])
+    ids = table.ids(keys)
+    assert len(table) == len(set(keys.tolist()))
+    for (a, b), pid in zip(pairs, ids.tolist()):
+        cost = np.float64(network.path_cost(a, b, costs))
+        assert table.cost[pid].tobytes() == cost.tobytes()
+        links = table.links[table.bounds[pid]:table.bounds[pid + 1]]
+        assert links.tolist() == network.path_links(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    world=route_worlds(),
+    name=st.sampled_from(ARCHITECTURES),
+    frozen=st.booleans(),
+    data=st.data(),
+)
+def test_insert_targets_equal_response_path(world, name, frozen, data):
+    """Structural insert targets equal the filtered ``path_nodes[1:]``.
+
+    For each pair: the response path's cache-enabled, non-failed nodes
+    below the server, in response order; nothing with frozen caches.
+    """
+    network, _, pairs = world
+    arch = architecture(name)
+    failed = frozenset(data.draw(st.lists(st.integers(0, network.num_nodes - 1), max_size=4)))
+    workload = Workload(
+        num_objects=1,
+        pops=np.zeros(1, dtype=np.int64),
+        leaves=np.array([network.tree.leaves.start]),
+        objects=np.zeros(1, dtype=np.int64),
+        sizes=np.ones(1),
+        origins=np.zeros(1, dtype=np.int64),
+    )
+    sim = Simulator(
+        network, arch, workload, [1.0] * network.num_nodes, engine="fast",
+        failed_nodes=failed, frozen_caches=frozen,
+    )
+    engine = FastEngine(sim)
+    cache_locals = set(arch.cache_locals(network.tree))
+    for serving, leaf in pairs:
+        expected = () if frozen else tuple(
+            node for node in network.path_nodes(serving, leaf)[1:]
+            if node % network.tree_size in cache_locals and node not in failed
+        )
+        assert engine._insert_targets(serving, leaf) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    world=worlds(),
+    second=st.sampled_from(ARCHITECTURES),
+    model=st.sampled_from(LATENCY_MODELS),
+)
+def test_warm_route_table_changes_nothing(world, second, model):
+    """Runs sharing one network's table, in either order, equal runs on
+    fresh networks field for field (NO-CACHE plus two architectures)."""
+    network, workload, arch, budgets, knobs = world
+    archs = (None, arch, architecture(second))
+
+    def run(net, run_arch):
+        costs = hop_costs(net, model, 2.5)
+        if run_arch is None:
+            return simulate_no_cache(
+                net, workload, costs, warmup_fraction=knobs["warmup_fraction"],
+                engine="fast",
+            )
+        return Simulator(
+            net, run_arch, workload, budgets, hop_costs=costs, engine="fast",
+            **knobs,
+        ).run()
+
+    def fresh():
+        return Network(network.pop_topology, network.tree)
+
+    expected = [run(fresh(), run_arch) for run_arch in archs]
+    for order in (range(3), range(2, -1, -1)):
+        shared = fresh()
+        results = {index: run(shared, archs[index]) for index in order}
+        for index, result in enumerate(expected):
+            assert_results_identical(results[index], result)

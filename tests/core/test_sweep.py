@@ -14,10 +14,13 @@ The contracts under test:
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    EDGE,
     ICN_SP,
     ExperimentConfig,
     SweepPoint,
@@ -29,7 +32,9 @@ from repro.core import (
     shard_points,
     spawn_seeds,
 )
+from repro.core import sweep as sweep_module
 from repro.idicn.retry import RetryPolicy
+from repro.obs import SpanTracker
 from repro.obs.progress import ProgressReporter
 
 SMALL = ExperimentConfig(
@@ -317,3 +322,101 @@ def test_timeout_distinguishes_started_from_cancelled():
     for key in outcome.cancelled:
         assert outcome.attempts[key] == 0
         assert outcome.failures[key][-1].startswith("cancelled:")
+
+
+def _uneven_points() -> list[SweepPoint]:
+    """Points whose estimated costs are out of grid order, with one tie.
+
+    Costs (requests x runs): 2k, 6k, 4k, 6k and, for the trace-driven
+    point with two architectures, 1.5k x 3 = 4.5k.
+    """
+    points = [
+        SweepPoint(
+            key=f"n-{i}",
+            config=SMALL.with_(num_requests=n, seed=i),
+            architectures=(ICN_SP,),
+        )
+        for i, n in enumerate((1_000, 3_000, 2_000, 3_000))
+    ]
+    points.append(
+        SweepPoint(
+            key="trace",
+            config=SMALL,
+            architectures=(ICN_SP, EDGE),
+            objects=np.arange(1_500, dtype=np.int64) % SMALL.num_objects,
+        )
+    )
+    return points
+
+
+class _InlinePool:
+    """Stands in for the process pool: runs each task as it is submitted
+    and records the submitted chunks' point keys."""
+
+    def __init__(self, submitted: list[list[str]]) -> None:
+        self.submitted = submitted
+
+    def __enter__(self) -> "_InlinePool":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+    def submit(self, fn, chunk, *args):
+        self.submitted.append([point.key for point in chunk])
+        future: Future = Future()
+        future.set_result(fn(chunk, *args))
+        return future
+
+
+def test_point_cost_counts_requests_times_runs():
+    points = _uneven_points()
+    assert [sweep_module._point_cost(p) for p in points] == [
+        2_000, 6_000, 4_000, 6_000, 4_500
+    ]
+    (shard, _) = shard_points(_whole_point(), 2)
+    assert sweep_module._point_cost(shard) == STREAMED.num_requests / 2 * 2
+
+
+@pytest.mark.parametrize(
+    ("chunk_size", "order"),
+    [
+        (1, [["n-1"], ["n-3"], ["trace"], ["n-2"], ["n-0"]]),
+        (2, [["n-2", "n-3"], ["n-0", "n-1"], ["trace"]]),
+    ],
+)
+def test_pool_gets_heaviest_chunk_first(
+    monkeypatch, results_identical, chunk_size, order
+):
+    """Submission is heaviest first (ties in grid order); chunk labels,
+    span files and results still equal the serial run's."""
+    points = _uneven_points()
+    submitted: list[list[str]] = []
+    monkeypatch.setattr(
+        sweep_module, "ProcessPoolExecutor",
+        lambda max_workers: _InlinePool(submitted),
+    )
+    spans = SpanTracker(3)
+    parallel = run_sweep(points, workers=2, chunk_size=chunk_size, spans=spans)
+    assert submitted == order
+    serial_spans = SpanTracker(3)
+    serial = run_sweep(
+        points, workers=0, chunk_size=chunk_size, spans=serial_spans
+    )
+    assert spans.to_jsonl() == serial_spans.to_jsonl()
+    assert not parallel.failures and parallel.results.keys() == serial.results.keys()
+    for key, result in serial.results.items():
+        results_identical(result.baseline, parallel.results[key].baseline)
+        for name, run in result.results.items():
+            results_identical(run, parallel.results[key].results[name])
+
+
+def test_uneven_parallel_equals_serial(results_identical):
+    """The real pool, heaviest first, still matches the serial run."""
+    points = _uneven_points()
+    serial = run_sweep(points, workers=0)
+    parallel = run_sweep(points, workers=2, chunk_size=1)
+    assert not serial.failures and not parallel.failures
+    for key, result in serial.results.items():
+        for name, run in result.results.items():
+            results_identical(run, parallel.results[key].results[name])

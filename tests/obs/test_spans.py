@@ -10,7 +10,6 @@ from repro.obs import (
     SPAN_SCHEMA,
     SchemaError,
     SpanTracker,
-    merge_span_records,
     span_id,
     validate_span_file,
     validate_span_record,
@@ -104,15 +103,33 @@ class TestWorkerMerge:
         assert point["path"] == "run/chunk-0000/point-a"
         assert point["parent"] == span_id(7, chunk_path)
 
-    def test_merge_span_records_order_independent(self):
-        a = [{"path": "run", "id": "x"}]
-        b = [{"path": "run/chunk", "id": "y"}]
-        assert merge_span_records(a, b) == merge_span_records(b, a)
+    def _shards(self):
+        """Two worker shards' records under one parent chunk path."""
+        shards = []
+        for key in ("a", "b"):
+            worker = SpanTracker(7, prefix=f"run/chunk-000{key}")
+            with worker.span(f"point-{key}", "point", key=key):
+                pass
+            shards.append(worker.records())
+        return shards
 
-    def test_merge_span_records_rejects_duplicates(self):
-        a = [{"path": "run", "id": "x"}]
+    def _merged(self, shards) -> str:
+        parent = SpanTracker(7)
+        with parent.span("run", "run"):
+            for shard in shards:
+                parent.extend(shard)
+        return parent.to_jsonl()
+
+    def test_extend_order_independent(self):
+        a, b = self._shards()
+        assert self._merged([a, b]) == self._merged([b, a])
+
+    def test_extend_rejects_duplicates(self):
+        a, _ = self._shards()
+        parent = SpanTracker(7)
+        parent.extend(a)
         with pytest.raises(ValueError, match="duplicate"):
-            merge_span_records(a, a)
+            parent.extend(a)
 
 
 class TestValidation:
